@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, VecDeque};
 use gtsc_core::rules::{extend_rts, lease_covers, nest_rts};
 use gtsc_core::ProtocolMutation;
 use gtsc_protocol::msg::{Epoch, FillResp, L1ToL2, L2ToL1, LeaseInfo, ReadReq};
-use gtsc_protocol::ControllerPressure;
+use gtsc_protocol::{ControllerPressure, L2Controller};
 use gtsc_trace::{EventKind, Sanitizer, Scope, Tracer, Transition};
 use gtsc_types::snap::{Snap, SnapReader, SnapWriter, SnapshotError};
 use gtsc_types::{BlockAddr, CacheStats, Cycle, Lease, Timestamp, Version};
@@ -139,49 +139,6 @@ impl DeviceL2 {
         self.tags.get(&block).map(|m| (m.wts, m.rts))
     }
 
-    /// Installs a protocol event tracer.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// The installed tracer (disabled by default).
-    #[must_use]
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Installs an online transition sanitizer (scoped `Scope::Device`).
-    pub fn set_sanitizer(&mut self, sanitizer: Sanitizer) {
-        self.sanitizer = sanitizer;
-    }
-
-    /// Counters accumulated so far.
-    #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Whether no transaction is pending inside the device L2.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.in_queue.is_empty()
-            && self.fabric_out.is_empty()
-            && self.out_resp.is_empty()
-            && self.read_waiters.values().all(Vec::is_empty)
-            && self.write_waiters.is_empty()
-    }
-
-    /// Occupancy snapshot for stall diagnosis.
-    #[must_use]
-    pub fn pressure(&self) -> ControllerPressure {
-        ControllerPressure {
-            mshr: self.read_waiters.values().map(Vec::len).sum::<usize>()
-                + self.write_waiters.len(),
-            out_queue: self.in_queue.len() + self.fabric_out.len(),
-            waiting: self.out_resp.len(),
-        }
-    }
-
     /// Device-scoped stall attribution for the watchdog's diagnosis:
     /// `(expired_grant_waits, cold_grant_waits, stores_awaiting_home)`.
     /// A parked read whose block still has an installed grant is stalled
@@ -212,91 +169,9 @@ impl DeviceL2 {
             .collect()
     }
 
-    /// Accepts a request from local SM `src`.
-    pub fn on_request(&mut self, src: usize, msg: L1ToL2, now: Cycle) {
-        self.clock = self.clock.max(now);
-        self.in_queue.push_back((now + self.p.latency, src, msg));
-    }
-
-    /// Next response to inject into the local response network.
-    pub fn take_response(&mut self) -> Option<(usize, L2ToL1)> {
-        self.out_resp.pop_front()
-    }
-
     /// Next request to inject into the fabric toward the home node.
     pub fn take_fabric_request(&mut self) -> Option<L1ToL2> {
         self.fabric_out.pop_front()
-    }
-
-    /// Serves ready L1 requests (up to `ports` per cycle).
-    pub fn tick(&mut self, now: Cycle) {
-        self.clock = self.clock.max(now);
-        for _ in 0..self.p.ports {
-            match self.in_queue.front() {
-                Some((ready, _, _)) if *ready <= now => {
-                    let (_, src, msg) = self.in_queue.pop_front().expect("front exists");
-                    self.serve(src, msg);
-                }
-                _ => break,
-            }
-        }
-    }
-
-    /// Whether the device wants the global Section V-D reset (set by
-    /// [`DeviceL2::crash`]; the simulator then bumps the global epoch).
-    #[must_use]
-    pub fn needs_reset(&self) -> bool {
-        self.needs_reset
-    }
-
-    /// Enters `epoch`: every installed grant belongs to the old logical
-    /// time coordinate system and is discarded (re-acquired on demand).
-    /// Parked requests survive — their fabric round trips are answered
-    /// in the new epoch — but their timestamps are in dead coordinates,
-    /// so they degrade to fresh-warp requests (Section V-D, mirroring
-    /// the home's `sanitize`). Without the degrade, a refetch would
-    /// replay a near-overflow `warp_ts` at the *new* epoch, the home
-    /// would overflow again, and the reset would livelock.
-    pub fn apply_reset(&mut self, epoch: Epoch) {
-        self.tags.clear();
-        self.epoch = epoch;
-        self.needs_reset = false;
-        self.stats.ts_rollovers += 1;
-        for parked in self.read_waiters.values_mut() {
-            for (_, r) in parked.iter_mut() {
-                r.wts = Timestamp(0);
-                r.warp_ts = Timestamp::INIT;
-                r.epoch = epoch;
-            }
-        }
-        self.tracer
-            .record_with(self.clock, || EventKind::Rollover { epoch });
-    }
-
-    /// Crashes the whole device: every grant, parked request, and queued
-    /// message vanishes. Committed data is safe at the home (stores are
-    /// write-through); in-flight L1 requests are recovered by the L1's
-    /// end-to-end retry. Recovery rides the Section V-D machinery: the
-    /// simulator sees [`DeviceL2::needs_reset`] and bumps the global
-    /// epoch, exactly as for an on-die bank crash.
-    pub fn crash(&mut self, now: Cycle) {
-        self.clock = self.clock.max(now);
-        self.tags.clear();
-        self.in_queue.clear();
-        self.fabric_out.clear();
-        self.out_resp.clear();
-        self.read_waiters.clear();
-        self.write_waiters.clear();
-        let epoch = self.epoch;
-        let dev = match self.tracer.scope() {
-            Scope::Device(d) => d,
-            _ => 0,
-        };
-        self.tracer
-            .record_with(self.clock, || EventKind::BankReset { bank: dev, epoch });
-        self.sanitizer
-            .check_with(self.clock, || Transition::DeviceCrash { epoch });
-        self.needs_reset = true;
     }
 
     /// Installs a grant received from the home and reports it to the
@@ -549,9 +424,138 @@ impl DeviceL2 {
             self.forward_read(block, warp_ts, span);
         }
     }
+}
+
+impl L2Controller for DeviceL2 {
+    /// Accepts a request from local SM `src`.
+    fn on_request(&mut self, src: usize, msg: L1ToL2, now: Cycle) {
+        self.clock = self.clock.max(now);
+        self.in_queue.push_back((now + self.p.latency, src, msg));
+    }
+
+    /// Next response to inject into the local response network.
+    fn take_response(&mut self) -> Option<(usize, L2ToL1)> {
+        self.out_resp.pop_front()
+    }
+
+    fn take_dram_request(&mut self) -> Option<(BlockAddr, bool)> {
+        None
+    }
+
+    fn on_dram_response(&mut self, _: BlockAddr, _: bool, _: Cycle) {}
+
+    /// Serves ready L1 requests (up to `ports` per cycle).
+    fn tick(&mut self, now: Cycle) {
+        self.clock = self.clock.max(now);
+        for _ in 0..self.p.ports {
+            match self.in_queue.front() {
+                Some((ready, _, _)) if *ready <= now => {
+                    let (_, src, msg) = self.in_queue.pop_front().expect("front exists");
+                    self.serve(src, msg);
+                }
+                _ => break,
+            }
+        }
+    }
+
+    /// Whether the device wants the global Section V-D reset (set by
+    /// [`DeviceL2::crash`]; the simulator then bumps the global epoch).
+    fn needs_reset(&self) -> bool {
+        self.needs_reset
+    }
+
+    /// Enters `epoch`: every installed grant belongs to the old logical
+    /// time coordinate system and is discarded (re-acquired on demand).
+    /// Parked requests survive — their fabric round trips are answered
+    /// in the new epoch — but their timestamps are in dead coordinates,
+    /// so they degrade to fresh-warp requests (Section V-D, mirroring
+    /// the home's `sanitize`). Without the degrade, a refetch would
+    /// replay a near-overflow `warp_ts` at the *new* epoch, the home
+    /// would overflow again, and the reset would livelock.
+    fn apply_reset(&mut self, epoch: Epoch) {
+        self.tags.clear();
+        self.epoch = epoch;
+        self.needs_reset = false;
+        self.stats.ts_rollovers += 1;
+        for parked in self.read_waiters.values_mut() {
+            for (_, r) in parked.iter_mut() {
+                r.wts = Timestamp(0);
+                r.warp_ts = Timestamp::INIT;
+                r.epoch = epoch;
+            }
+        }
+        self.tracer
+            .record_with(self.clock, || EventKind::Rollover { epoch });
+    }
+
+    /// Crashes the whole device: every grant, parked request, and queued
+    /// message vanishes. Committed data is safe at the home (stores are
+    /// write-through); in-flight L1 requests are recovered by the L1's
+    /// end-to-end retry. Recovery rides the Section V-D machinery: the
+    /// simulator sees [`DeviceL2::needs_reset`] and bumps the global
+    /// epoch, exactly as for an on-die bank crash.
+    fn crash(&mut self, now: Cycle) -> bool {
+        self.clock = self.clock.max(now);
+        self.tags.clear();
+        self.in_queue.clear();
+        self.fabric_out.clear();
+        self.out_resp.clear();
+        self.read_waiters.clear();
+        self.write_waiters.clear();
+        let epoch = self.epoch;
+        let dev = match self.tracer.scope() {
+            Scope::Device(d) => d,
+            _ => 0,
+        };
+        self.tracer
+            .record_with(self.clock, || EventKind::BankReset { bank: dev, epoch });
+        self.sanitizer
+            .check_with(self.clock, || Transition::DeviceCrash { epoch });
+        self.needs_reset = true;
+        true
+    }
+
+    /// Whether no transaction is pending inside the device L2.
+    fn is_idle(&self) -> bool {
+        self.in_queue.is_empty()
+            && self.fabric_out.is_empty()
+            && self.out_resp.is_empty()
+            && self.read_waiters.values().all(Vec::is_empty)
+            && self.write_waiters.is_empty()
+    }
+
+    /// Counters accumulated so far.
+    fn stats(&self) -> CacheStats {
+        self.stats
+    }
+
+    /// Occupancy snapshot for stall diagnosis.
+    fn pressure(&self) -> ControllerPressure {
+        ControllerPressure {
+            mshr: self.read_waiters.values().map(Vec::len).sum::<usize>()
+                + self.write_waiters.len(),
+            out_queue: self.in_queue.len() + self.fabric_out.len(),
+            waiting: self.out_resp.len(),
+        }
+    }
+
+    /// Installs a protocol event tracer.
+    fn set_tracer(&mut self, tracer: Tracer) {
+        self.tracer = tracer;
+    }
+
+    /// The installed tracer (disabled by default).
+    fn tracer(&self) -> Option<&Tracer> {
+        Some(&self.tracer)
+    }
+
+    /// Installs an online transition sanitizer (scoped `Scope::Device`).
+    fn set_sanitizer(&mut self, sanitizer: Sanitizer) {
+        self.sanitizer = sanitizer;
+    }
 
     /// Serializes the device's dynamic state (DESIGN.md §14).
-    pub fn save_state(&self, w: &mut SnapWriter) {
+    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapshotError> {
         self.tags.save(w);
         self.epoch.save(w);
         self.needs_reset.save(w);
@@ -562,6 +566,7 @@ impl DeviceL2 {
         self.write_waiters.save(w);
         self.stats.save(w);
         self.clock.save(w);
+        Ok(())
     }
 
     /// Restores state saved by [`DeviceL2::save_state`].
@@ -569,7 +574,7 @@ impl DeviceL2 {
     /// # Errors
     ///
     /// Any decoding error on corrupt input.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
         self.tags = Snap::load(r)?;
         self.epoch = Snap::load(r)?;
         self.needs_reset = Snap::load(r)?;
@@ -819,14 +824,14 @@ mod tests {
         dev.tick(Cycle(201));
         assert!(!dev.is_idle());
         let mut w = SnapWriter::new();
-        dev.save_state(&mut w);
+        dev.save_state(&mut w).expect("device L2s checkpoint");
         let bytes = w.into_bytes();
         let mut copy = DeviceL2::new(DeviceParams::default());
         let mut r = SnapReader::new(&bytes);
         copy.load_state(&mut r).expect("restore");
         r.expect_end("device snapshot").expect("fully consumed");
         let mut w2 = SnapWriter::new();
-        copy.save_state(&mut w2);
+        copy.save_state(&mut w2).expect("device L2s checkpoint");
         assert_eq!(bytes, w2.into_bytes(), "save -> load -> save is stable");
         // Both replay the identical future against identical homes.
         let mut home2 = HomeNode::new(HomeParams::default());

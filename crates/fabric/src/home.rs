@@ -162,12 +162,6 @@ impl HomeNode {
         self.in_queue.is_empty() && self.out.is_empty()
     }
 
-    /// Queued + waiting entries, for stall diagnosis.
-    #[must_use]
-    pub fn pressure(&self) -> (usize, usize) {
-        (self.in_queue.len(), self.out.len())
-    }
-
     /// Accepts a fabric request from device `dev`.
     pub fn on_request(&mut self, dev: usize, msg: L1ToL2, now: Cycle) {
         self.clock = self.clock.max(now);

@@ -10,6 +10,12 @@
 //! [`gtsc_types::SimStats`] plus any coherence violations found by the
 //! [`check::Checker`].
 //!
+//! [`GpuSim`] (one GPU over DRAM, the N = 1 case) and [`MultiGpuSim`]
+//! (N GPUs over the inter-GPU fabric) share one device model and step:
+//! per device, phases 1–3 (SM issue, L1 egress, request delivery); the
+//! below-L2 phase; crashes; the Section V-D reset; per device, phases
+//! 6–8 (response egress and delivery, cycle accounting). DESIGN.md §17.6.
+//!
 //! # Examples
 //!
 //! ```
@@ -36,6 +42,7 @@ pub mod build;
 pub mod check;
 pub mod checkpoint;
 pub mod gpu;
+mod machine;
 pub mod multi;
 pub mod profile;
 
@@ -45,5 +52,6 @@ pub use checkpoint::{CheckpointError, CheckpointSource, CheckpointStore};
 pub use gpu::{
     DeviceStall, GpuSim, KernelProgress, RunReport, SimBuilder, SimError, StallDiagnosis,
 };
+pub use machine::Machine;
 pub use multi::MultiGpuSim;
 pub use profile::{render_folded, render_profile, spans_to_chrome_trace};
