@@ -1,35 +1,21 @@
-//! Migration gate for the `src_lint` engine swap: the token engine
-//! (`gtsc_lint`) and the legacy line-regex engine
-//! (`gtsc_check::srclint`) must agree that the real workspace is clean,
-//! and the new determinism rules must be demonstrably live on the real
-//! sources — the sanctioned hash-iteration sites fire the moment their
-//! `lint: allow(hash-iter)` annotations are stripped.
+//! Tree-level gates for `src_lint`'s token engine (`gtsc_lint`): the
+//! real workspace is clean, and the determinism rules are demonstrably
+//! live on the real sources — the sanctioned hash-iteration sites fire
+//! the moment their `lint: allow(hash-iter)` annotations are stripped.
+//! Per-rule behaviour is pinned by `crates/lint/tests/fixtures.rs`.
 
 use std::path::Path;
 
-use gtsc_check::srclint::lint_sources;
 use gtsc_lint::{lint_text, lint_tree, RuleSet};
 
 fn workspace_root() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
 }
 
-/// Both engines, zero findings, same tree. This is the strongest parity
-/// statement available on a clean repository; per-rule behavioural
-/// parity is pinned by the fixture suites in each crate.
+/// Zero findings on the whole tree.
 #[test]
-fn token_and_legacy_engines_agree_tree_is_clean() {
-    let legacy = lint_sources(workspace_root()).expect("legacy scan");
+fn token_engine_finds_the_tree_clean() {
     let token = lint_tree(workspace_root()).expect("token scan");
-    assert!(
-        legacy.is_empty(),
-        "legacy engine fired:\n{}",
-        legacy
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
     assert!(
         token.is_empty(),
         "token engine fired:\n{}",

@@ -1,11 +1,10 @@
 //! Token-level source lints for the G-TSC workspace.
 //!
-//! This crate replaces the legacy line-regex linter
-//! (`gtsc_check::srclint`) with a real lexer: every file is tokenized
-//! (see [`lexer`]), so rules match code tokens — never the inside of a
-//! string literal, doc comment, or `/* */` block — and every diagnostic
-//! carries an exact line *and column*. The legacy engine stays behind
-//! the `src_lint --legacy` flag as a fallback during the migration.
+//! This crate replaced the workspace's original line-regex linter with
+//! a real lexer: every file is tokenized (see [`lexer`]), so rules
+//! match code tokens — never the inside of a string literal, doc
+//! comment, or `/* */` block — and every diagnostic carries an exact
+//! line *and column*. It is the only engine behind `src_lint`.
 //!
 //! # Rules
 //!
